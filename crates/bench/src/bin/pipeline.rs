@@ -302,16 +302,15 @@ fn main() {
         ),
         (
             "notes".to_string(),
-            "Single host thread per stage (plus one per extra lane); on a machine with fewer \
-             cores than stages the sustained-throughput win over the monolithic path comes \
-             from the stages' leaner datapath (pre-quantized packed weights, allocation-free \
-             forward) rather than from stage overlap, and extra lanes only add time-slicing — \
-             multi-core hosts additionally overlap lookup with the FC stages and spread lanes \
-             across cores. Monolithic single-item predict re-quantizes weights on the fly and \
-             allocates per layer. Latency_us for the pipelined path is the full \
-             submit-to-result roundtrip of one job crossing every FIFO. The auto_router \
-             section records the startup calibration's measured service times and the \
-             cost-model decision for each model."
+            "Single host thread per stage (plus one per extra lane). Monolithic predict is \
+             the packed batch datapath at batch 1 (pre-quantized packed weights, \
+             allocation-free forward), the same kernels the fc stages run, so any \
+             sustained-throughput gap between the two paths comes from overlapping lookup \
+             with the FC stages across cores, not from a leaner datapath; on a machine with \
+             fewer cores than stage threads, extra lanes only add time-slicing. Latency_us for \
+             the pipelined path is the full submit-to-result roundtrip of one job crossing \
+             every FIFO. The auto_router section records the startup calibration's measured \
+             service times and the cost-model decision for each model."
                 .to_string()
                 .to_json(),
         ),

@@ -36,6 +36,11 @@ pub(crate) fn channel_assignment(catalog: &Catalog, plan: &Plan) -> Vec<usize> {
         .collect()
 }
 
+/// One lookup round's slice of a round-major query.
+fn round_indices(query: &[u64], round: usize, tables: usize) -> &[u64] {
+    &query[round * tables..(round + 1) * tables]
+}
+
 /// Builder for a [`MicroRec`] engine.
 ///
 /// # Examples
@@ -358,7 +363,8 @@ impl MicroRecBuilder {
 
         // Channel assignment: each logical table inherits the memory
         // channel (bank) its physical table was placed on.
-        let compute_channels = |catalog: &Catalog| -> Vec<usize> { channel_assignment(catalog, &plan) };
+        let compute_channels =
+            |catalog: &Catalog| -> Vec<usize> { channel_assignment(catalog, &plan) };
 
         // Embedding fast path: a tiered parameter store, a shared or
         // freshly materialized all-resident arena, and an optional hot-row
@@ -467,40 +473,45 @@ impl MicroRecBuilder {
             accel,
             pipeline,
             batch_path: BatchPath::Unbuilt,
+            features: Vec::new(),
         })
     }
 }
 
 /// Lazily built batched fast path at one datapath precision: packed
-/// weights (quantized once), a reusable scratch arena, and a staging
-/// buffer for quantized inputs. After the first batch, steady-state
-/// serving of same-or-smaller batches stops allocating in the DNN stage.
+/// weights (quantized once), a reusable scratch arena, a staging buffer
+/// for quantized inputs, and the de-quantized CTR buffer. After the first
+/// batch, steady-state serving of same-or-smaller batches stops
+/// allocating in the DNN stage.
 #[derive(Debug, Clone)]
 struct FastPath<T> {
     packed: PackedMlp<T>,
     arena: ScratchArena<T>,
     staging: Vec<T>,
+    ctrs: Vec<f32>,
 }
 
 impl<T: FixedNum> FastPath<T> {
     fn build(mlp: &Mlp) -> Self {
-        // lint: allow(transitive-hot-path-alloc) built once per precision swap; FastPath::run reuses it
-        FastPath { packed: PackedMlp::pack(mlp), arena: ScratchArena::new(), staging: Vec::new() }
+        FastPath {
+            packed: PackedMlp::pack(mlp),
+            arena: ScratchArena::new(),
+            staging: Vec::new(),
+            ctrs: Vec::new(),
+        }
     }
 
-    /// Quantizes the gathered feature vectors and runs the packed batched
-    /// forward pass; returns de-quantized CTRs in query order.
-    fn run(&mut self, features: &[Vec<f32>]) -> Result<Vec<f32>, microrec_dnn::DnnError> {
-        let batch = features.len();
+    /// Quantizes `batch` item-major feature vectors and runs the packed
+    /// batched forward pass; returns de-quantized CTRs in query order.
+    fn run(&mut self, features: &[f32], batch: usize) -> Result<&[f32], microrec_dnn::DnnError> {
         self.staging.clear();
-        for item in features {
-            self.staging.extend(item.iter().map(|&v| T::from_f32(v)));
-        }
+        self.staging.extend(features.iter().map(|&v| T::from_f32(v)));
         self.packed.warm(batch, &mut self.arena);
         let out = self.packed.forward_batch_into(&self.staging, batch, &mut self.arena)?;
         let stride = self.packed.output_dim().max(1);
-        // lint: allow(hot-path-alloc) the collected Vec is the output handed to the caller
-        Ok(out.chunks_exact(stride).map(|c| c[0].to_f32()).collect())
+        self.ctrs.clear();
+        self.ctrs.extend(out.chunks_exact(stride).map(|c| c[0].to_f32()));
+        Ok(&self.ctrs)
     }
 }
 
@@ -533,6 +544,8 @@ pub struct MicroRec {
     accel: AccelConfig,
     pipeline: Pipeline,
     batch_path: BatchPath,
+    /// Reusable item-major feature buffer of the fast path's gathers.
+    features: Vec<f32>,
     /// Epoch cell polled at batch boundaries (None = static layout).
     epoch: Option<Arc<GenerationCell>>,
     /// Last cell version this engine adopted (or decided not to).
@@ -752,20 +765,15 @@ impl MicroRec {
     /// fixed-point datapath.
     ///
     /// The query layout matches the CPU reference engine: round-major,
-    /// `lookups_per_table × num_tables` indices.
+    /// `lookups_per_table × num_tables` indices. This is the batched fast
+    /// path at batch 1: same gather, same packed weights, same scratch.
     ///
     /// # Errors
     ///
     /// Returns [`MicroRecError`] for malformed queries.
     pub fn predict(&mut self, query: &[u64]) -> Result<f32, MicroRecError> {
-        let features = self.gather_features(query)?;
-        let ctr = match self.precision {
-            Precision::Fixed16 => self.mlp.predict_ctr_quantized::<Q16>(&features)?,
-            Precision::Fixed32 => self.mlp.predict_ctr_quantized::<Q32>(&features)?,
-            // lint: allow(transitive-hot-path-alloc) f32 reference forward allocates per layer; batches use the packed path
-            Precision::F32 => self.mlp.predict_ctr(&features)?,
-        };
-        Ok(ctr)
+        // lint: allow(transitive-hot-path-alloc) drives the memory simulator and reference dense branch; both allocate by design
+        Ok(self.infer(&[query])?[0])
     }
 
     /// Predicts CTRs for a batch of queries through the amortized fast
@@ -773,9 +781,10 @@ impl MicroRec {
     /// batch, and one packed GEMM per MLP layer for all items.
     ///
     /// Results are **bit-identical** to calling [`MicroRec::predict`] per
-    /// query, and the simulated memory sees exactly the same reads (one
-    /// per table per round per query). The packed weights and scratch
-    /// buffers are built on first use and reused across calls.
+    /// query (and to the unpacked [`Mlp`] reference forward), and the
+    /// simulated memory sees exactly the same reads (one per table per
+    /// round per query). The packed weights and scratch buffers are built
+    /// on first use and reused across calls.
     ///
     /// # Errors
     ///
@@ -786,29 +795,34 @@ impl MicroRec {
             return Ok(Vec::new());
         }
         // lint: allow(transitive-hot-path-alloc) drives the memory simulator and reference dense branch; both allocate by design
-        let features = self.gather_features_batch(queries)?;
-        let mut path = std::mem::replace(&mut self.batch_path, BatchPath::Unbuilt);
-        let precision_matches = matches!(
-            (&path, self.precision),
-            (BatchPath::F32(_), Precision::F32)
-                | (BatchPath::Q16(_), Precision::Fixed16)
-                | (BatchPath::Q32(_), Precision::Fixed32)
-        );
-        if !precision_matches {
-            path = match self.precision {
+        let ctrs = self.infer(queries)?;
+        // lint: allow(hot-path-alloc) the copied Vec is the output handed to the caller
+        Ok(ctrs.to_vec())
+    }
+
+    /// The one inference datapath: gathers every query's features into
+    /// the reusable buffer, then runs the cached packed forward pass over
+    /// the whole batch. Returns the CTRs in query order.
+    fn infer<Q: AsRef<[u64]>>(&mut self, queries: &[Q]) -> Result<&[f32], MicroRecError> {
+        let mut features = std::mem::take(&mut self.features);
+        let gathered = self.gather_batch_into(queries, &mut features);
+        self.features = features;
+        gathered?;
+        if matches!(self.batch_path, BatchPath::Unbuilt) {
+            self.batch_path = match self.precision {
                 Precision::F32 => BatchPath::F32(FastPath::build(&self.mlp)),
                 Precision::Fixed16 => BatchPath::Q16(FastPath::build(&self.mlp)),
                 Precision::Fixed32 => BatchPath::Q32(FastPath::build(&self.mlp)),
             };
         }
-        let result = match &mut path {
-            BatchPath::F32(fp) => fp.run(&features),
-            BatchPath::Q16(fp) => fp.run(&features),
-            BatchPath::Q32(fp) => fp.run(&features),
+        let batch = queries.len();
+        let ctrs = match &mut self.batch_path {
+            BatchPath::F32(fp) => fp.run(&self.features, batch),
+            BatchPath::Q16(fp) => fp.run(&self.features, batch),
+            BatchPath::Q32(fp) => fp.run(&self.features, batch),
             BatchPath::Unbuilt => unreachable!("fast path built above"),
-        };
-        self.batch_path = path;
-        Ok(result?)
+        }?;
+        Ok(ctrs)
     }
 
     /// Checks a query's arity against the model.
@@ -941,43 +955,66 @@ impl MicroRec {
         }
     }
 
-    /// Gathers feature vectors for a whole batch, issuing each lookup
-    /// round as one combined sweep of physical reads (the per-query read
-    /// count is unchanged; only the dispatch is amortized).
-    fn gather_features_batch(
+    /// The round sequence every gather runs: for each lookup round,
+    /// resolve every query's indices to physical reads and drive the
+    /// memory simulator with them, then gather and quantize each query's
+    /// slice of the round. `features` (cleared first) receives one
+    /// item-major vector of `feature_len` values per query, dense branch
+    /// first.
+    fn gather_batch_into<Q: AsRef<[u64]>>(
         &mut self,
-        queries: &[Vec<u64>],
-    ) -> Result<Vec<Vec<f32>>, MicroRecError> {
+        queries: &[Q],
+        features: &mut Vec<f32>,
+    ) -> Result<(), MicroRecError> {
         self.poll_epoch();
         let tables = self.model.num_tables();
-        let rounds = self.model.lookups_per_table as usize;
+        let item_len = self.model.feature_len() as usize;
         let round_len = self.catalog.feature_len() as usize;
-        let mut features = Vec::with_capacity(queries.len());
+        let dense_len = self.model.dense_output_dim() as usize;
+        features.clear();
         for query in queries {
+            let query = query.as_ref();
             self.check_query(query)?;
-            let mut item = Vec::with_capacity(self.model.feature_len() as usize);
-            item.extend(self.dense_features(query)?);
-            features.push(item);
+            // Dense path: the bottom MLP runs on the accelerator's datapath
+            // precision (its own small PE group, §Figure 1's dense branch).
+            let base = features.len();
+            features.extend(self.dense_features(query)?);
+            features.resize(base + item_len, 0.0);
         }
         let mut requests = Vec::with_capacity(queries.len() * tables);
-        for round in 0..rounds {
-            requests.clear();
-            for query in queries {
-                let indices = &query[round * tables..(round + 1) * tables];
-                for lookup in &self.catalog.resolve(indices)? {
-                    requests.push(self.addressed_read(lookup.table, lookup.row, round));
-                }
-            }
-            self.memory.parallel_read_addressed(&requests)?;
-            for (item, query) in features.iter_mut().zip(queries) {
-                let indices = &query[round * tables..(round + 1) * tables];
-                let base = item.len();
-                item.resize(base + round_len, 0.0);
-                self.gather_round_into(indices, &mut item[base..])?;
-                self.quantize_features(&mut item[base..]);
+        for round in 0..self.model.lookups_per_table as usize {
+            self.simulate_round(queries, round, &mut requests)?;
+            // Functional gather through the fast path (embedding values
+            // quantize losslessly per element relative to their stored
+            // precision).
+            let start = dense_len + round * round_len;
+            for (item, query) in features.chunks_exact_mut(item_len).zip(queries) {
+                let slot = &mut item[start..start + round_len];
+                self.gather_round_into(round_indices(query.as_ref(), round, tables), slot)?;
+                self.quantize_features(slot);
             }
         }
-        Ok(features)
+        Ok(())
+    }
+
+    /// Resolves one lookup round of every query to physical reads and
+    /// drives the memory simulator with them as one sweep, with real byte
+    /// addresses so DRAM row-buffer state is modelled under the active
+    /// page policy. Returns the sweep's simulated time.
+    fn simulate_round<Q: AsRef<[u64]>>(
+        &mut self,
+        queries: &[Q],
+        round: usize,
+        requests: &mut Vec<AddressedRead>,
+    ) -> Result<SimTime, MicroRecError> {
+        let tables = self.model.num_tables();
+        requests.clear();
+        for query in queries {
+            for l in &self.catalog.resolve(round_indices(query.as_ref(), round, tables))? {
+                requests.push(self.addressed_read(l.table, l.row, round));
+            }
+        }
+        Ok(self.memory.parallel_read_addressed(requests)?.elapsed)
     }
 
     /// Gathers the (de-quantized) concatenated feature vector for a query,
@@ -1005,38 +1042,8 @@ impl MicroRec {
         query: &[u64],
         features: &mut Vec<f32>,
     ) -> Result<(), MicroRecError> {
-        // lint: allow(transitive-hot-path-alloc) generation-adoption allocates once per published migration, not per batch
-        self.poll_epoch();
-        self.check_query(query)?;
-        let tables = self.model.num_tables();
-        let rounds = self.model.lookups_per_table as usize;
-        let round_len = self.catalog.feature_len() as usize;
-        features.clear();
-        // Dense path: the bottom MLP runs on the accelerator's datapath
-        // precision (its own small PE group, §Figure 1's dense branch).
-        // lint: allow(transitive-hot-path-alloc) reference bottom-MLP branch builds per-query dense vectors by design
-        features.extend(self.dense_features(query)?);
-        let mut requests: Vec<AddressedRead> = Vec::with_capacity(tables);
-        for round in 0..rounds {
-            let indices = &query[round * tables..(round + 1) * tables];
-            // Resolve to physical reads and drive the memory simulator
-            // with real byte addresses (so DRAM row-buffer state is
-            // modelled under the active page policy).
-            requests.clear();
-            // lint: allow(transitive-hot-path-alloc) resolve materializes the round's physical locations (simulator bookkeeping)
-            for l in &self.catalog.resolve(indices)? {
-                requests.push(self.addressed_read(l.table, l.row, round));
-            }
-            self.memory.parallel_read_addressed(&requests)?;
-            // Functional gather through the fast path (embedding values
-            // quantize losslessly per element relative to their stored
-            // precision).
-            let base = features.len();
-            features.resize(base + round_len, 0.0);
-            self.gather_round_into(indices, &mut features[base..])?;
-            self.quantize_features(&mut features[base..]);
-        }
-        Ok(())
+        // lint: allow(transitive-hot-path-alloc) drives the memory simulator and reference dense branch; both allocate by design
+        self.gather_batch_into(&[query], features)
     }
 
     /// Measures the lookup-stage time of one query against the simulated
@@ -1047,18 +1054,10 @@ impl MicroRec {
     /// Returns [`MicroRecError`] for malformed queries.
     pub fn measure_lookup(&mut self, query: &[u64]) -> Result<SimTime, MicroRecError> {
         self.check_query(query)?;
-        let tables = self.model.num_tables();
-        let rounds = self.model.lookups_per_table as usize;
+        let mut requests = Vec::with_capacity(self.model.num_tables());
         let mut total = SimTime::ZERO;
-        for round in 0..rounds {
-            let indices = &query[round * tables..(round + 1) * tables];
-            let requests: Vec<AddressedRead> = self
-                .catalog
-                .resolve(indices)?
-                .iter()
-                .map(|l| self.addressed_read(l.table, l.row, round))
-                .collect();
-            total += self.memory.parallel_read_addressed(&requests)?.elapsed;
+        for round in 0..self.model.lookups_per_table as usize {
+            total += self.simulate_round(&[query], round, &mut requests)?;
         }
         Ok(total)
     }
@@ -1248,46 +1247,91 @@ mod tests {
             .collect()
     }
 
+    /// The independent oracle: the unpacked reference forward pass of the
+    /// top MLP on the engine's own gathered features.
+    fn reference_ctr(engine: &mut MicroRec, query: &[u64]) -> f32 {
+        let features = engine.gather_features(query).unwrap();
+        match engine.precision() {
+            Precision::F32 => engine.mlp().predict_ctr(&features),
+            Precision::Fixed16 => engine.mlp().predict_ctr_quantized::<Q16>(&features),
+            Precision::Fixed32 => engine.mlp().predict_ctr_quantized::<Q32>(&features),
+        }
+        .unwrap()
+    }
+
     #[test]
     fn fast_path_is_bit_identical_across_storage_and_cache() {
-        // Legacy procedural reads, an f32 arena, a cache-fronted arena, and
-        // a cache over the legacy path must all predict identical bits, for
-        // every datapath precision, in both predict and predict_batch.
+        // Every precision x storage (legacy procedural reads, f32/f16/i8
+        // arena, tiered) x cache on/off must predict the bits of the
+        // unpacked reference MLP on its own gathered features, through
+        // predict (cold and warm cache) and predict_batch at every batch
+        // size the runtime forms. f32 storage must also match the legacy
+        // path bit for bit.
+        let max_batch = crate::RuntimeConfig::default().max_batch;
+        let queries = small_queries(40);
+        type Storage = fn(MicroRecBuilder) -> MicroRecBuilder;
+        let storages: [(&str, bool, Storage); 5] = [
+            ("legacy", true, |b| b),
+            ("arena-f32", true, |b| b.embedding_arena(RowFormat::F32)),
+            ("arena-f16", false, |b| b.embedding_arena(RowFormat::F16)),
+            ("arena-i8", false, |b| b.embedding_arena(RowFormat::I8)),
+            ("tiered-f16", false, |b| {
+                b.tiered_storage(small_model_bytes(RowFormat::F16) / 3, RowFormat::F16)
+            }),
+        ];
         for precision in [Precision::F32, Precision::Fixed16, Precision::Fixed32] {
             let mut legacy = small_builder(precision).build().unwrap();
-            let mut variants = [
-                small_builder(precision).embedding_arena(RowFormat::F32).build().unwrap(),
-                small_builder(precision)
-                    .embedding_arena(RowFormat::F32)
-                    .hot_row_cache(128)
-                    .build()
-                    .unwrap(),
-                small_builder(precision).hot_row_cache(128).build().unwrap(),
-            ];
-            let queries = small_queries(40);
-            let want: Vec<f32> = queries.iter().map(|q| legacy.predict(q).unwrap()).collect();
-            for (v, engine) in variants.iter_mut().enumerate() {
-                // Sequential predict: run twice so the second pass hits the
-                // warm cache — results must not change.
-                for pass in 0..2 {
-                    for (i, q) in queries.iter().enumerate() {
-                        let got = engine.predict(q).unwrap();
-                        assert_eq!(
-                            got.to_bits(),
-                            want[i].to_bits(),
-                            "{precision:?} variant {v} pass {pass} query {i}"
-                        );
+            let legacy_want: Vec<f32> =
+                queries.iter().map(|q| reference_ctr(&mut legacy, q)).collect();
+            for (name, lossless, storage) in storages {
+                for cache_rows in [0usize, 128] {
+                    let builder = storage(small_builder(precision)).hot_row_cache(cache_rows);
+                    let mut oracle = builder.clone().build().unwrap();
+                    if let Some(tiered) = oracle.tiered_store() {
+                        assert!(tiered.backing().num_resident_tables() < 6, "cold tier must exist");
+                    }
+                    let want: Vec<f32> =
+                        queries.iter().map(|q| reference_ctr(&mut oracle, q)).collect();
+                    if lossless {
+                        assert_eq!(want, legacy_want, "{precision:?} {name} vs legacy storage");
+                    }
+                    let tag = format!("{precision:?} {name} cache {cache_rows}");
+                    let mut engine = builder.clone().build().unwrap();
+                    // Sequential predict: twice, so the second pass hits
+                    // the warm cache — results must not change.
+                    for pass in 0..2 {
+                        for (i, q) in queries.iter().enumerate() {
+                            let got = engine.predict(q).unwrap();
+                            assert_eq!(got.to_bits(), want[i].to_bits(), "{tag} pass {pass} q{i}");
+                        }
+                    }
+                    for batch in [1, 2, 7, max_batch] {
+                        engine.reset_stats();
+                        for (c, chunk) in queries.chunks(batch).enumerate() {
+                            let got = engine.predict_batch(chunk).unwrap();
+                            for (i, g) in got.iter().enumerate() {
+                                let w = want[c * batch + i];
+                                assert_eq!(
+                                    g.to_bits(),
+                                    w.to_bits(),
+                                    "{tag} batch {batch} #{c}.{i}"
+                                );
+                            }
+                        }
+                        // The simulated memory still sees every physical
+                        // read — the cache is a host-side structure.
+                        assert_eq!(engine.memory().stats().total().reads, (40 * 6 * 4) as u64);
+                    }
+                    // predict(q) is predict_batch(&[q]) down to the reads.
+                    let mut single = builder.clone().build().unwrap();
+                    let mut batched = builder.build().unwrap();
+                    for q in queries.iter().take(5) {
+                        let one = single.predict(q).unwrap();
+                        let many = batched.predict_batch(std::slice::from_ref(q)).unwrap();
+                        assert_eq!(vec![one], many, "{tag}");
+                        assert_eq!(single.memory().stats(), batched.memory().stats(), "{tag}");
                     }
                 }
-                // Batched path over the same (now cached) rows.
-                engine.reset_stats();
-                let got = engine.predict_batch(&queries).unwrap();
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{precision:?} variant {v} batch {i}");
-                }
-                // The simulated memory still sees every physical read —
-                // the cache is a host-side structure, not a DRAM model.
-                assert_eq!(engine.memory().stats().total().reads, (queries.len() * 6 * 4) as u64);
             }
         }
     }

@@ -70,7 +70,7 @@ pub use report::{
 };
 pub use router::{
     ExecutionPath, PathCost, PathCostModel, PathDescriptor, PathKind, PathSet, RouteDecision,
-    RouterPathStats, RouterSnapshot, SHAPE_DEFAULT_HOP_US,
+    RouterPathStats, RouterSnapshot,
 };
 pub use runtime::{
     plan_batches, replay_trace, AdmissionPolicy, BatchClose, BatchFormerConfig, LatencyHistogram,

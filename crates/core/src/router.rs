@@ -80,16 +80,6 @@ const SKETCH_SLOTS: usize = 4096;
 const SKETCH_WINDOW: u64 = 1024;
 /// Single-item timing iterations during startup calibration.
 const CALIBRATION_SINGLES: usize = 8;
-/// Analytic shape model: µs per MAC-pair FLOP on the scalar datapath.
-const SHAPE_US_PER_FLOP: f64 = 5e-4;
-/// Analytic shape model: µs per gathered embedding byte.
-const SHAPE_US_PER_BYTE: f64 = 2.5e-4;
-/// Analytic shape model: monolithic forward overhead vs the packed
-/// stage kernels (re-quantization, unpacked weights).
-const SHAPE_MONO_FACTOR: f64 = 1.6;
-/// Analytic shape model: default per-hop handoff cost, µs.
-pub const SHAPE_DEFAULT_HOP_US: f64 = 6.0;
-
 /// Which engine variant a path runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
@@ -419,46 +409,6 @@ impl PathCostModel {
                 fixed_us: 0.0,
                 per_item_us: calibration.pipelined_us,
                 single_us: calibration.pipelined_us,
-            },
-        );
-        model
-    }
-
-    /// A purely analytic monolithic-vs-pipelined model from the model
-    /// shape alone — per-layer MACs (bottleneck stage bounds the
-    /// pipeline), gathered bytes, and `hop_us` per stage handoff. Fully
-    /// deterministic; used to sanity-check routing decisions against
-    /// shape intuition (tiny MLP → monolithic, deep MLP → pipelined).
-    #[must_use]
-    pub fn from_shape(spec: &ModelSpec, hop_us: f64) -> Self {
-        let dims = spec.mlp_layer_dims();
-        let bottleneck_flops = dims.windows(2).map(|w| 2 * w[0] * w[1]).max().unwrap_or(0) as f64;
-        let total_flops = spec.flops_per_item() as f64;
-        let lookup_us = spec.gathered_bytes_per_item(microrec_embedding::Precision::F32) as f64
-            * SHAPE_US_PER_BYTE;
-        let mono_us = total_flops * SHAPE_US_PER_FLOP * SHAPE_MONO_FACTOR + lookup_us;
-        let bottleneck_us = (bottleneck_flops * SHAPE_US_PER_FLOP).max(lookup_us) + hop_us.max(0.0);
-        let mut model = PathCostModel::new(vec![
-            PathDescriptor {
-                name: "monolithic",
-                kind: PathKind::Monolithic,
-                format: "any",
-                cached: false,
-            },
-            PathDescriptor {
-                name: "pipelined",
-                kind: PathKind::Pipelined,
-                format: "any",
-                cached: false,
-            },
-        ]);
-        model.seed_cost(0, PathCost { fixed_us: 0.0, per_item_us: mono_us, single_us: mono_us });
-        model.seed_cost(
-            1,
-            PathCost {
-                fixed_us: 0.0,
-                per_item_us: bottleneck_us,
-                single_us: mono_us + hop_us.max(0.0) * spec.hidden.len().max(1) as f64,
             },
         );
         model
@@ -1218,23 +1168,6 @@ mod tests {
         }
         assert!(model.traffic_hit_rate().is_some_and(|r| r > 0.5));
         assert_eq!(model.route(16, None, false).path, 0);
-    }
-
-    #[test]
-    fn shape_model_prefers_monolithic_for_tiny_mlps_and_pipelined_for_deep_ones() {
-        use microrec_embedding::TableSpec;
-        let tiny = ModelSpec::new(
-            "tiny-mlp",
-            (0..4).map(|i| TableSpec::new(format!("t{i}"), 1_000, 4)).collect(),
-            vec![16],
-            2,
-        );
-        let tiny_model = PathCostModel::from_shape(&tiny, SHAPE_DEFAULT_HOP_US);
-        assert_eq!(tiny_model.choose_mode(), ExecutionMode::Monolithic);
-
-        let deep = ModelSpec::dlrm_rmc2(8, 16);
-        let deep_model = PathCostModel::from_shape(&deep, SHAPE_DEFAULT_HOP_US);
-        assert_eq!(deep_model.choose_mode(), ExecutionMode::Pipelined);
     }
 
     #[test]

@@ -33,14 +33,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use microrec_embedding::TierCounters;
+
 use crate::engine::{MicroRec, MicroRecBuilder};
 use crate::epoch::{ArenaGeneration, GenerationCell};
 use crate::error::MicroRecError;
-use crate::report::MigrationRecord;
 use crate::pipeline::{
     Calibration, ExecutionMode, PipelineConfig, PipelineExecutor, PipelinePlan, PipelineShared,
     StageSnapshot,
 };
+use crate::report::MigrationRecord;
 use crate::router::{PathCostModel, PathSet, RouterSnapshot};
 use crate::sync::{lock_or_recover, recover};
 use queue::{BoundedQueue, PushError};
@@ -384,13 +386,25 @@ pub struct ServingRuntime {
 }
 
 impl ServingRuntime {
-    /// Builds one engine replica per worker from `builder`, pre-warms each
-    /// replica's packed weights and scratch arena at `max_batch` (so the
-    /// steady-state loop is allocation-free), and starts the workers.
+    /// Builds the workers' execution state from `builder` and starts them.
+    ///
+    /// Monolithic and staged modes build one engine replica per worker
+    /// lane and pre-warm each replica's packed weights and scratch arena at
+    /// `max_batch` (so the steady-state loop is allocation-free).
+    /// [`ExecutionMode::Routed`] gives each worker a full [`PathSet`] (the
+    /// path matrix built from `builder`'s configuration); the first
+    /// worker's startup calibration seeds a [`PathCostModel`] every worker
+    /// shares, and each formed batch is routed to its predicted-fastest
+    /// path with EWMA feedback and the SLO guard. Cache-backed lookup
+    /// counters live inside individual paths there (split across cache-on
+    /// and cache-off engines), so [`ServingRuntime::lookup_stats`] reports
+    /// `None` under routed execution; [`ServingRuntime::router_snapshot`]
+    /// carries the per-path accounting instead.
     ///
     /// # Errors
     ///
-    /// Returns [`MicroRecError`] if an engine fails to build or a worker
+    /// Returns [`MicroRecError`] if an engine fails to build, the
+    /// configuration combines modes that cannot run together, or a worker
     /// thread cannot be spawned.
     pub fn start(
         mut builder: MicroRecBuilder,
@@ -402,190 +416,177 @@ impl ServingRuntime {
             queue_depth: config.queue_depth.max(1),
             ..config
         };
-        if config.execution == ExecutionMode::Routed {
-            return Self::start_routed(builder, config);
+        if config.adaptive && config.execution == ExecutionMode::Routed {
+            return Err(MicroRecError::Runtime(
+                "adaptive re-sharding is not available under routed execution: per-table \
+                 lookup counters live inside individual paths"
+                    .into(),
+            ));
         }
         // When an embedding arena is configured, materialize it once and
         // share it read-only across all worker replicas (worker memory no
         // longer scales with the arena size).
         builder.prepare_shared_arena()?;
-        // Epoch seam: publish the shared store as generation 0 and hand
-        // every replica the cell, so an online migration reaches all of
-        // them at their next batch boundary.
-        let epoch = if let Some(backing) = builder.shared_tiered_handle() {
-            Some(GenerationCell::new(ArenaGeneration::from_backing(Arc::clone(backing))))
-        } else {
-            builder
-                .shared_arena_handle()
-                .map(|arena| GenerationCell::new(ArenaGeneration::from_arena(Arc::clone(arena))))
-        };
-        if let Some(cell) = &epoch {
-            builder = builder.epoch_cell(Arc::clone(cell));
-        }
-        // Pre-warm: one full-width dummy batch builds the packed weights
-        // and sizes the arena, then the stats reset hides it.
-        let warm_engine = |builder: &MicroRecBuilder| -> Result<MicroRec, MicroRecError> {
-            let mut engine = builder.clone().build()?;
-            let arity = engine.model().num_tables() * engine.model().lookups_per_table as usize;
-            let warm = vec![vec![0u64; arity]; config.max_batch];
-            engine.predict_batch(&warm)?;
-            engine.reset_stats();
-            Ok(engine)
-        };
-        // Resolve what actually runs. `Auto` calibrates one replica up
-        // front and routes on the measured cost model; every already-built
-        // replica is recycled into the worker pool.
-        let mut engines: Vec<MicroRec> = Vec::new();
-        let (resolved, plan, calibration) = match config.execution {
-            ExecutionMode::Monolithic => (ExecutionMode::Monolithic, None, None),
-            ExecutionMode::Pipelined => {
-                let engine = warm_engine(&builder)?;
-                let layers = engine.model().hidden.len() + 1;
-                engines.push(engine);
-                let plan = PipelinePlan::per_layer(layers, PipelineConfig::default().fifo_depth);
-                (ExecutionMode::Pipelined, Some(plan), None)
-            }
-            ExecutionMode::Replicated => {
-                let engine = warm_engine(&builder)?;
-                let layers = engine.model().hidden.len() + 1;
-                engines.push(engine);
-                let plan =
-                    PipelinePlan::replicated_default(layers, PipelineConfig::default().fifo_depth);
-                (ExecutionMode::Replicated, Some(plan), None)
-            }
-            ExecutionMode::Auto => {
-                let probe = warm_engine(&builder)?;
-                let (mut engine, plan, calibration) = PipelinePlan::calibrate(
-                    probe,
-                    microrec_par::default_threads(),
-                    AUTO_CALIBRATION_ROUNDS,
-                )?;
-                engine.reset_stats();
-                engines.push(engine);
-                // Auto is the router restricted to its two measured
-                // paths: argmin over the unified cost model.
-                let mode = PathCostModel::from_calibration(&calibration, &plan).choose_mode();
-                let plan = if mode == ExecutionMode::Monolithic { None } else { Some(plan) };
-                (mode, plan, Some(calibration))
-            }
-            ExecutionMode::Routed => {
-                // Handled by the early return above; nothing resolves here.
-                (ExecutionMode::Monolithic, None, None)
-            }
-        };
-        let lanes_per_worker = plan.as_ref().map_or(1, |p| p.lookup_lanes.max(1));
-        while engines.len() < config.workers * lanes_per_worker {
-            engines.push(warm_engine(&builder)?);
-        }
-        let expected_arity =
-            engines[0].model().num_tables() * engines[0].model().lookups_per_table as usize;
+        let spec = builder.model_spec();
+        let expected_arity = spec.num_tables() * spec.lookups_per_table as usize;
+        let layers = spec.hidden.len() + 1;
+
+        let mut modes: Vec<Box<dyn WorkerMode>> = Vec::with_capacity(config.workers);
+        let mut pipelines = Vec::new();
+        let mut router: Option<Arc<Mutex<PathCostModel>>> = None;
         let mut lookup_meta = None;
-        let tiered = engines[0].is_tiered();
-        if engines[0].hot_row_cache().is_some() || tiered {
-            let format = match engines[0].tiered_store() {
-                Some(t) => t.backing().format().as_str(),
-                None => engines[0].arena().map_or("f32", |a| a.format().as_str()),
-            };
-            let cache_rows = engines[0].hot_row_cache().map_or(0, |c| c.capacity());
-            lookup_meta = Some((format, cache_rows, tiered));
-        }
-        let resharder = if config.adaptive {
-            let cell = epoch.as_ref().ok_or_else(|| {
-                MicroRecError::Runtime(
-                    "adaptive re-sharding needs a shared embedding store: enable the \
-                     embedding arena or tiered storage on the builder"
-                        .into(),
-                )
-            })?;
-            if plan.is_some() {
-                return Err(MicroRecError::Runtime(
-                    "adaptive re-sharding requires monolithic execution (the staged modes \
-                     publish lookup counters only at drain)"
-                        .into(),
-                ));
+        let mut lookup_tables = 0;
+        let mut resharder = None;
+        let (resolved, plan, calibration) = if config.execution == ExecutionMode::Routed {
+            for _ in 0..config.workers {
+                let set = match &router {
+                    None => PathSet::build(&builder, config.max_batch)?,
+                    Some(model) => {
+                        PathSet::build_shared(&builder, config.max_batch, Arc::clone(model))?
+                    }
+                };
+                router.get_or_insert_with(|| set.model());
+                pipelines.extend(set.pipeline_shared().iter().map(Arc::clone));
+                modes.push(Box::new(RoutedMode {
+                    set,
+                    slo_us: config.slo_us,
+                    overload_depth: config.queue_depth - config.queue_depth / 4,
+                }));
             }
-            if !lookup_meta.is_some_and(|(_, cache_rows, _)| cache_rows > 0) {
-                return Err(MicroRecError::Runtime(
-                    "adaptive re-sharding needs the hot-row cache's per-table counters: \
-                     enable hot_row_cache on the builder"
-                        .into(),
-                ));
-            }
-            let resharder =
-                Resharder::from_builder(&builder, Arc::clone(cell), ReshardingPolicy::default())?;
-            Some(Arc::new(Mutex::new(resharder)))
+            (ExecutionMode::Routed, None, None)
         } else {
-            None
+            // Epoch seam: publish the shared store as generation 0 and hand
+            // every replica the cell, so an online migration reaches all
+            // of them at their next batch boundary.
+            let epoch = if let Some(backing) = builder.shared_tiered_handle() {
+                Some(GenerationCell::new(ArenaGeneration::from_backing(Arc::clone(backing))))
+            } else {
+                builder.shared_arena_handle().map(|arena| {
+                    GenerationCell::new(ArenaGeneration::from_arena(Arc::clone(arena)))
+                })
+            };
+            if let Some(cell) = &epoch {
+                builder = builder.epoch_cell(Arc::clone(cell));
+            }
+            // Pre-warm: one full-width dummy batch builds the packed
+            // weights and sizes the arena, then the stats reset hides it.
+            let warm_engine = |builder: &MicroRecBuilder| -> Result<MicroRec, MicroRecError> {
+                let mut engine = builder.clone().build()?;
+                engine.predict_batch(&vec![vec![0u64; expected_arity]; config.max_batch])?;
+                engine.reset_stats();
+                Ok(engine)
+            };
+            // Resolve what actually runs. `Auto` calibrates one replica up
+            // front and routes on the measured cost model; every
+            // already-built replica is recycled into the worker pool.
+            let mut engines: Vec<MicroRec> = Vec::new();
+            let fifo_depth = PipelineConfig::default().fifo_depth;
+            let (resolved, plan, calibration) = match config.execution {
+                ExecutionMode::Pipelined => (
+                    ExecutionMode::Pipelined,
+                    Some(PipelinePlan::per_layer(layers, fifo_depth)),
+                    None,
+                ),
+                ExecutionMode::Replicated => (
+                    ExecutionMode::Replicated,
+                    Some(PipelinePlan::replicated_default(layers, fifo_depth)),
+                    None,
+                ),
+                ExecutionMode::Auto => {
+                    let (mut engine, plan, calibration) = PipelinePlan::calibrate(
+                        warm_engine(&builder)?,
+                        microrec_par::default_threads(),
+                        AUTO_CALIBRATION_ROUNDS,
+                    )?;
+                    engine.reset_stats();
+                    engines.push(engine);
+                    // Auto is the router restricted to its two measured
+                    // paths: argmin over the unified cost model.
+                    let mode = PathCostModel::from_calibration(&calibration, &plan).choose_mode();
+                    let plan = if mode == ExecutionMode::Monolithic { None } else { Some(plan) };
+                    (mode, plan, Some(calibration))
+                }
+                ExecutionMode::Monolithic | ExecutionMode::Routed => {
+                    (ExecutionMode::Monolithic, None, None)
+                }
+            };
+            let lanes = plan.as_ref().map_or(1, |p| p.lookup_lanes.max(1));
+            while engines.len() < config.workers * lanes {
+                engines.push(warm_engine(&builder)?);
+            }
+            let first = &engines[0];
+            if first.hot_row_cache().is_some() || first.is_tiered() {
+                let format = match first.tiered_store() {
+                    Some(t) => t.backing().format().as_str(),
+                    None => first.arena().map_or("f32", |a| a.format().as_str()),
+                };
+                let cache_rows = first.hot_row_cache().map_or(0, |c| c.capacity());
+                lookup_meta = Some((format, cache_rows, first.is_tiered()));
+                lookup_tables = first.catalog().logical_tables().len();
+            }
+            if config.adaptive {
+                let cell = epoch.ok_or_else(|| {
+                    MicroRecError::Runtime(
+                        "adaptive re-sharding needs a shared embedding store: enable the \
+                         embedding arena or tiered storage on the builder"
+                            .into(),
+                    )
+                })?;
+                if plan.is_some() {
+                    return Err(MicroRecError::Runtime(
+                        "adaptive re-sharding requires monolithic execution (the staged modes \
+                         publish lookup counters only at drain)"
+                            .into(),
+                    ));
+                }
+                if lookup_meta.is_none_or(|(_, cache_rows, _)| cache_rows == 0) {
+                    return Err(MicroRecError::Runtime(
+                        "adaptive re-sharding needs the hot-row cache's per-table counters: \
+                         enable hot_row_cache on the builder"
+                            .into(),
+                    ));
+                }
+                let policy = ReshardingPolicy::default();
+                resharder =
+                    Some(Arc::new(Mutex::new(Resharder::from_builder(&builder, cell, policy)?)));
+            }
+            let mut engines = engines.into_iter();
+            for _ in 0..config.workers {
+                let lane_engines: Vec<MicroRec> = engines.by_ref().take(lanes).collect();
+                match &plan {
+                    // One lane per worker: the replica itself runs batches.
+                    None => modes.extend(lane_engines.into_iter().map(|engine| {
+                        Box::new(MonolithicMode::new(engine)) as Box<dyn WorkerMode>
+                    })),
+                    // Decompose this worker's replicas into stage lanes
+                    // before spawning, so build failures surface here.
+                    Some(plan) => {
+                        let executor = PipelineExecutor::with_plan(lane_engines, plan)?;
+                        pipelines.push(Arc::clone(executor.shared()));
+                        modes.push(Box::new(PipelinedMode { executor }));
+                    }
+                }
+            }
+            (resolved, plan, calibration)
         };
 
         let queue = Arc::new(BoundedQueue::new(config.queue_depth));
         let mut stats = SharedStats::default();
-        if lookup_meta.is_some() {
-            let tables = engines[0].catalog().logical_tables().len();
-            let counters = stats.lookup_tables.get_mut().unwrap_or_else(|p| p.into_inner());
-            counters.hits.resize(tables, 0);
-            counters.misses.resize(tables, 0);
-        }
+        let counters = stats.lookup_tables.get_mut().unwrap_or_else(|p| p.into_inner());
+        counters.hits.resize(lookup_tables, 0);
+        counters.misses.resize(lookup_tables, 0);
         let stats = Arc::new(stats);
         let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
-        let mut pipelines = Vec::new();
-        let mut engine_pool = engines.into_iter();
-        for id in 0..config.workers {
-            let mut lane_engines: Vec<MicroRec> =
-                engine_pool.by_ref().take(lanes_per_worker).collect();
-            let spawned =
-                std::thread::Builder::new().name(format!("microrec-worker-{id}")).spawn({
-                    let queue = Arc::clone(&queue);
-                    let stats = Arc::clone(&stats);
-                    match &plan {
-                        None => {
-                            let Some(engine) = lane_engines.pop() else {
-                                // Unreachable: the pool is sized above.
-                                queue.close();
-                                for worker in workers {
-                                    let _ = worker.join();
-                                }
-                                return Err(MicroRecError::Runtime(
-                                    "worker engine pool exhausted".into(),
-                                ));
-                            };
-                            Box::new(move || {
-                                worker_loop_monolithic(engine, &queue, &stats, config);
-                            }) as Box<dyn FnOnce() + Send>
-                        }
-                        Some(plan) => {
-                            // Decompose this worker's replicas into stage
-                            // lanes before spawning, so spawn failures and
-                            // build failures surface here.
-                            let executor = match PipelineExecutor::with_plan(lane_engines, plan) {
-                                Ok(executor) => executor,
-                                Err(e) => {
-                                    queue.close();
-                                    for worker in workers {
-                                        let _ = worker.join();
-                                    }
-                                    return Err(e);
-                                }
-                            };
-                            pipelines.push(Arc::clone(executor.shared()));
-                            Box::new(move || {
-                                worker_loop_pipelined(executor, &queue, &stats, config);
-                            })
-                        }
-                    }
-                });
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(MicroRecError::Runtime(format!(
-                        "failed to spawn worker {id}: {e}"
-                    )));
-                }
-            }
+        for (id, mode) in modes.into_iter().enumerate() {
+            let body = {
+                let queue = Arc::clone(&queue);
+                let stats = Arc::clone(&stats);
+                move || worker_loop(mode, &queue, &stats, config)
+            };
+            let name = format!("microrec-worker-{id}");
+            let handle =
+                spawn_or_unwind(name, &format!("worker {id}"), &queue, &mut workers, body)?;
+            workers.push(handle);
         }
         // The adaptive driver: periodically snapshot the shared counters
         // (lock dropped before the resharder lock — the two are never held
@@ -596,7 +597,7 @@ impl ServingRuntime {
         let mut reshard_driver = None;
         if let Some(resharder) = &resharder {
             let stop = Arc::new(AtomicBool::new(false));
-            let spawned = std::thread::Builder::new().name("microrec-reshard".into()).spawn({
+            let body = {
                 let stop = Arc::clone(&stop);
                 let stats = Arc::clone(&stats);
                 let resharder = Arc::clone(resharder);
@@ -609,22 +610,11 @@ impl ServingRuntime {
                         let _ = resharder.evaluate(&counters.hits, &counters.misses);
                     }
                 }
-            });
-            match spawned {
-                Ok(handle) => {
-                    reshard_driver = Some(handle);
-                    reshard_stop = Some(stop);
-                }
-                Err(e) => {
-                    queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(MicroRecError::Runtime(format!(
-                        "failed to spawn the re-shard driver: {e}"
-                    )));
-                }
-            }
+            };
+            let name = "microrec-reshard".to_string();
+            let what = "the re-shard driver";
+            reshard_driver = Some(spawn_or_unwind(name, what, &queue, &mut workers, body)?);
+            reshard_stop = Some(stop);
         }
         Ok(ServingRuntime {
             queue,
@@ -636,100 +626,10 @@ impl ServingRuntime {
             expected_arity,
             lookup_meta,
             pipelines,
-            router: None,
+            router,
             resharder,
             reshard_stop,
             reshard_driver,
-            workers,
-        })
-    }
-
-    /// Starts the routed runtime: each worker owns a full [`PathSet`]
-    /// (the path matrix built from `builder`'s configuration); the first
-    /// worker's startup calibration seeds a [`PathCostModel`] every
-    /// worker shares, and each formed batch is routed to its
-    /// predicted-fastest path with EWMA feedback and the SLO guard.
-    ///
-    /// Cache-backed lookup counters live inside individual paths here
-    /// (split across cache-on and cache-off engines), so
-    /// [`ServingRuntime::lookup_stats`] reports `None` under routed
-    /// execution; [`ServingRuntime::router_snapshot`] carries the
-    /// per-path accounting instead.
-    fn start_routed(
-        mut builder: MicroRecBuilder,
-        config: RuntimeConfig,
-    ) -> Result<Self, MicroRecError> {
-        if config.adaptive {
-            return Err(MicroRecError::Runtime(
-                "adaptive re-sharding is not available under routed execution: per-table \
-                 lookup counters live inside individual paths"
-                    .into(),
-            ));
-        }
-        builder.prepare_shared_arena()?;
-        let spec = builder.model_spec();
-        let expected_arity = spec.num_tables() * spec.lookups_per_table as usize;
-
-        let queue = Arc::new(BoundedQueue::new(config.queue_depth));
-        let stats = Arc::new(SharedStats::default());
-        let mut sets: Vec<PathSet> = Vec::with_capacity(config.workers);
-        let mut shared_model: Option<Arc<Mutex<PathCostModel>>> = None;
-        let mut pipelines = Vec::new();
-        for _ in 0..config.workers {
-            let set = match &shared_model {
-                None => PathSet::build(&builder, config.max_batch)?,
-                Some(model) => {
-                    PathSet::build_shared(&builder, config.max_batch, Arc::clone(model))?
-                }
-            };
-            if shared_model.is_none() {
-                shared_model = Some(set.model());
-            }
-            pipelines.extend(set.pipeline_shared().iter().map(Arc::clone));
-            sets.push(set);
-        }
-        let router = match shared_model {
-            Some(model) => model,
-            None => Arc::new(Mutex::new(PathCostModel::new(Vec::new()))),
-        };
-
-        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
-        for (id, set) in sets.into_iter().enumerate() {
-            let spawned =
-                std::thread::Builder::new().name(format!("microrec-worker-{id}")).spawn({
-                    let queue = Arc::clone(&queue);
-                    let stats = Arc::clone(&stats);
-                    move || {
-                        worker_loop_routed(set, &queue, &stats, config);
-                    }
-                });
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(MicroRecError::Runtime(format!(
-                        "failed to spawn worker {id}: {e}"
-                    )));
-                }
-            }
-        }
-        Ok(ServingRuntime {
-            queue,
-            stats,
-            config,
-            resolved: ExecutionMode::Routed,
-            plan: None,
-            calibration: None,
-            expected_arity,
-            lookup_meta: None,
-            pipelines,
-            router: Some(router),
-            resharder: None,
-            reshard_stop: None,
-            reshard_driver: None,
             workers,
         })
     }
@@ -962,26 +862,240 @@ impl Drop for ServingRuntime {
     }
 }
 
-/// Steady-state loop of one worker: pop a micro-batch, run it through the
-/// private engine replica, deliver results, record latencies.
-fn worker_loop_monolithic(
-    mut engine: MicroRec,
+/// Spawns `body` as the named thread `name`. When the spawn fails, the
+/// already-started `workers` are unwound first — the queue closes, they
+/// drain and are joined — so a failed start leaves no thread behind.
+fn spawn_or_unwind(
+    name: String,
+    what: &str,
+    queue: &BoundedQueue<Request>,
+    workers: &mut Vec<JoinHandle<()>>,
+    body: impl FnOnce() + Send + 'static,
+) -> Result<JoinHandle<()>, MicroRecError> {
+    std::thread::Builder::new().name(name).spawn(body).map_err(|e| {
+        queue.close();
+        for worker in workers.drain(..) {
+            let _ = worker.join();
+        }
+        MicroRecError::Runtime(format!("failed to spawn {what}: {e}"))
+    })
+}
+
+/// What one execution mode plugs into the shared [`worker_loop`].
+trait WorkerMode: Send {
+    /// Runs one formed batch. `oldest` is the enqueue instant of the
+    /// batch's oldest request and `queue_len` the admission queue's depth
+    /// after the batch left it (the routed mode's SLO and overload
+    /// inputs).
+    fn serve_batch(
+        &mut self,
+        queries: &[Vec<u64>],
+        oldest: Instant,
+        queue_len: usize,
+    ) -> Result<Vec<f32>, MicroRecError>;
+
+    /// Answers one query alone: the fallback after its batch failed.
+    fn serve_item(&mut self, query: &[u64]) -> Result<f32, MicroRecError>;
+
+    /// Publishes per-batch counters, once the batch's results are out.
+    fn publish_batch(&mut self, _stats: &SharedStats) {}
+
+    /// Runs once the queue has drained: stops owned threads and publishes
+    /// final counters.
+    fn finish_drain(self: Box<Self>, _stats: &SharedStats) {}
+}
+
+/// Monolithic execution: the worker's private engine replica runs each
+/// batch on its packed fast path and publishes its counter deltas per
+/// batch.
+struct MonolithicMode {
+    engine: MicroRec,
+    published: PublishedCounters,
+}
+
+impl MonolithicMode {
+    fn new(engine: MicroRec) -> Self {
+        let published = PublishedCounters::new(&engine);
+        MonolithicMode { engine, published }
+    }
+}
+
+impl WorkerMode for MonolithicMode {
+    fn serve_batch(
+        &mut self,
+        queries: &[Vec<u64>],
+        _oldest: Instant,
+        _queue_len: usize,
+    ) -> Result<Vec<f32>, MicroRecError> {
+        self.engine.predict_batch(queries)
+    }
+
+    fn serve_item(&mut self, query: &[u64]) -> Result<f32, MicroRecError> {
+        self.engine.predict(query)
+    }
+
+    fn publish_batch(&mut self, stats: &SharedStats) {
+        self.published.publish(&self.engine, stats);
+    }
+}
+
+/// Staged execution: each batch streams through the worker's dataflow
+/// executor.
+///
+/// Hot-row-cache counters live inside the lookup lanes' engines (they
+/// moved onto the stage threads), so they cannot be published per batch;
+/// each lane's totals land in the shared stats exactly once, when the
+/// drain completes and [`PipelineExecutor::shutdown_all`] hands every
+/// lane engine back.
+struct PipelinedMode {
+    executor: PipelineExecutor,
+}
+
+impl WorkerMode for PipelinedMode {
+    fn serve_batch(
+        &mut self,
+        queries: &[Vec<u64>],
+        _oldest: Instant,
+        _queue_len: usize,
+    ) -> Result<Vec<f32>, MicroRecError> {
+        self.executor.predict_batch(queries)
+    }
+
+    fn serve_item(&mut self, query: &[u64]) -> Result<f32, MicroRecError> {
+        self.executor.predict(query)
+    }
+
+    fn finish_drain(self: Box<Self>, stats: &SharedStats) {
+        // Every lane publishes exactly once here — its own totals, never
+        // another lane's — so the shared counts are a plain sum with no
+        // double-counting. A lane that panicked is absent from the list
+        // and its counters died with it.
+        for engine in self.executor.shutdown_all() {
+            PublishedCounters::new(&engine).publish(&engine, stats);
+        }
+    }
+}
+
+/// Routed execution: each batch asks the shared cost model for the
+/// predicted-fastest path, runs there, and feeds the observed latency
+/// back.
+///
+/// The SLO guard activates when `slo_us > 0`: each batch's remaining
+/// budget is the objective minus the oldest request's queue age, and a
+/// batch whose predicted cost overruns it takes the measured
+/// lowest-latency path instead. Overload (admission queue at
+/// `overload_depth`, 3/4 full) suppresses probe dispatches and tightens
+/// the cold-cache degrade.
+struct RoutedMode {
+    set: PathSet,
+    slo_us: u64,
+    overload_depth: usize,
+}
+
+impl WorkerMode for RoutedMode {
+    fn serve_batch(
+        &mut self,
+        queries: &[Vec<u64>],
+        oldest: Instant,
+        queue_len: usize,
+    ) -> Result<Vec<f32>, MicroRecError> {
+        let remaining_us =
+            (self.slo_us > 0).then(|| self.slo_us as f64 - oldest.elapsed().as_secs_f64() * 1e6);
+        let overload = queue_len >= self.overload_depth;
+        Ok(self.set.run_batch(queries, remaining_us, overload)?.1)
+    }
+
+    /// Runs on path 0 (the monolithic engine, always registered first);
+    /// no feedback is recorded for the failed batch.
+    fn serve_item(&mut self, query: &[u64]) -> Result<f32, MicroRecError> {
+        self.set.predict_on(0, query)
+    }
+
+    /// Joins the staged paths' stage threads.
+    fn finish_drain(self: Box<Self>, _stats: &SharedStats) {
+        self.set.shutdown();
+    }
+}
+
+/// The lookup counters of one engine already added to the shared stats,
+/// so each publish adds only what accrued since.
+struct PublishedCounters {
+    hits: Vec<u64>,
+    misses: Vec<u64>,
+    bytes: (u64, u64),
+    tier: TierCounters,
+}
+
+impl PublishedCounters {
+    /// Nothing published yet. The buffers are sized here, before any
+    /// batch, to keep the steady state allocation-free.
+    fn new(engine: &MicroRec) -> Self {
+        let tables = engine.hot_row_cache().map_or(0, |c| c.per_table_hits().len());
+        PublishedCounters {
+            hits: vec![0; tables],
+            misses: vec![0; tables],
+            bytes: (0, 0),
+            tier: TierCounters::default(),
+        }
+    }
+
+    /// Adds `engine`'s counter growth since the last publish to `stats`.
+    fn publish(&mut self, engine: &MicroRec, stats: &SharedStats) {
+        if let Some(cache) = engine.hot_row_cache() {
+            let mut shared = lock_or_recover(&stats.lookup_tables);
+            for ((&h, prev), slot) in
+                cache.per_table_hits().iter().zip(&mut self.hits).zip(&mut shared.hits)
+            {
+                *slot += h - *prev;
+                *prev = h;
+            }
+            for ((&m, prev), slot) in
+                cache.per_table_misses().iter().zip(&mut self.misses).zip(&mut shared.misses)
+            {
+                *slot += m - *prev;
+                *prev = m;
+            }
+            drop(shared);
+            let (bc, bm) = (cache.bytes_from_cache(), cache.bytes_from_memory());
+            stats.lookup_bytes_from_cache.fetch_add(bc - self.bytes.0, Relaxed);
+            stats.lookup_bytes_from_memory.fetch_add(bm - self.bytes.1, Relaxed);
+            self.bytes = (bc, bm);
+        }
+        // Tiered engines additionally publish per-tier counters. Without a
+        // cache the tier counters are also the only source of the total
+        // bytes-from-memory figure (with one, the cache block above
+        // already counted every miss's source bytes).
+        if engine.is_tiered() {
+            let now = engine.tier_counters();
+            let delta = now.delta_since(&self.tier);
+            stats.tier_resident_hits.fetch_add(delta.resident_hits, Relaxed);
+            stats.tier_cold_reads.fetch_add(delta.cold_reads, Relaxed);
+            stats.tier_prefetch_hits.fetch_add(delta.prefetch_hits, Relaxed);
+            stats.tier_bytes_from_cold.fetch_add(delta.bytes_from_cold, Relaxed);
+            stats.tier_cold_errors.fetch_add(delta.cold_errors, Relaxed);
+            if engine.hot_row_cache().is_none() {
+                stats
+                    .lookup_bytes_from_memory
+                    .fetch_add(delta.bytes_from_resident + delta.bytes_from_cold, Relaxed);
+            }
+            self.tier = now;
+        }
+    }
+}
+
+/// Steady-state loop of one worker, whatever its execution mode: pop a
+/// micro-batch, run it through the mode, deliver results, record
+/// latencies, publish counters. One malformed query must not poison its
+/// batch-mates: a failed batch falls back to per-item serving and fails
+/// only the offending requests.
+fn worker_loop(
+    mut mode: Box<dyn WorkerMode>,
     queue: &BoundedQueue<Request>,
     stats: &SharedStats,
     config: RuntimeConfig,
 ) {
     let wait = Duration::from_micros(config.max_wait_us);
     let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    // Previous cache-counter readings, so each batch publishes only its
-    // delta to the shared stats (buffers sized here, before the loop, to
-    // keep the steady state allocation-free).
-    let tables = engine.hot_row_cache().map_or(0, |c| c.per_table_hits().len());
-    let mut prev_hits: Vec<u64> = Vec::with_capacity(tables);
-    let mut prev_misses: Vec<u64> = Vec::with_capacity(tables);
-    prev_hits.resize(tables, 0);
-    prev_misses.resize(tables, 0);
-    let mut prev_bytes = (0u64, 0u64);
-    let mut prev_tier = microrec_embedding::TierCounters::default();
     while let Some((mut batch, close)) = queue.pop_batch(config.max_batch, |r| r.enqueued_at + wait)
     {
         stats.batches.fetch_add(1, Relaxed);
@@ -994,7 +1108,9 @@ fn worker_loop_monolithic(
         // Move each query out of its request (the producer's allocation is
         // reused) so the steady-state loop stays allocation-free.
         queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
-        match engine.predict_batch(&queries) {
+        // pop_batch preserves arrival order: the first request is oldest.
+        let oldest = batch.first().map_or_else(Instant::now, |r| r.enqueued_at);
+        match mode.serve_batch(&queries, oldest, queue.len()) {
             Ok(ctrs) => {
                 let now = Instant::now();
                 let mut hist = lock_or_recover(&stats.hist);
@@ -1008,11 +1124,8 @@ fn worker_loop_monolithic(
                 }
             }
             Err(_) => {
-                // One malformed query must not poison its batch-mates:
-                // fall back to per-item prediction and fail only the
-                // offending requests.
                 for (request, query) in batch.into_iter().zip(&queries) {
-                    match engine.predict(query) {
+                    match mode.serve_item(query) {
                         Ok(ctr) => {
                             let elapsed = request.enqueued_at.elapsed();
                             lock_or_recover(&stats.hist).record_duration(elapsed);
@@ -1027,220 +1140,10 @@ fn worker_loop_monolithic(
                 }
             }
         }
-        // Publish this batch's cache-counter deltas to the shared stats.
-        if let Some(cache) = engine.hot_row_cache() {
-            let mut shared = lock_or_recover(&stats.lookup_tables);
-            for ((&h, prev), slot) in
-                cache.per_table_hits().iter().zip(&mut prev_hits).zip(&mut shared.hits)
-            {
-                *slot += h - *prev;
-                *prev = h;
-            }
-            for ((&m, prev), slot) in
-                cache.per_table_misses().iter().zip(&mut prev_misses).zip(&mut shared.misses)
-            {
-                *slot += m - *prev;
-                *prev = m;
-            }
-            drop(shared);
-            let (bc, bm) = (cache.bytes_from_cache(), cache.bytes_from_memory());
-            stats.lookup_bytes_from_cache.fetch_add(bc - prev_bytes.0, Relaxed);
-            stats.lookup_bytes_from_memory.fetch_add(bm - prev_bytes.1, Relaxed);
-            prev_bytes = (bc, bm);
-        }
-        // Tiered engines additionally publish per-tier deltas. Without a
-        // cache the tier counters are also the only source of the total
-        // bytes-from-memory figure (with one, the cache block above
-        // already counted every miss's source bytes).
-        if engine.is_tiered() {
-            let now = engine.tier_counters();
-            let delta = now.delta_since(&prev_tier);
-            stats.tier_resident_hits.fetch_add(delta.resident_hits, Relaxed);
-            stats.tier_cold_reads.fetch_add(delta.cold_reads, Relaxed);
-            stats.tier_prefetch_hits.fetch_add(delta.prefetch_hits, Relaxed);
-            stats.tier_bytes_from_cold.fetch_add(delta.bytes_from_cold, Relaxed);
-            stats.tier_cold_errors.fetch_add(delta.cold_errors, Relaxed);
-            if engine.hot_row_cache().is_none() {
-                stats
-                    .lookup_bytes_from_memory
-                    .fetch_add(delta.bytes_from_resident + delta.bytes_from_cold, Relaxed);
-            }
-            prev_tier = now;
-        }
+        mode.publish_batch(stats);
     }
-}
-
-/// Steady-state loop of one pipelined worker: pop a micro-batch, stream
-/// it through the staged dataflow executor, deliver results, record
-/// latencies.
-///
-/// Hot-row-cache counters live inside the lookup lanes' engines (they
-/// moved onto the stage threads), so unlike the monolithic loop they
-/// cannot be published per batch; each lane's totals land in the shared
-/// stats exactly once, when the drain completes and
-/// [`PipelineExecutor::shutdown_all`] hands every lane engine back.
-fn worker_loop_pipelined(
-    mut executor: PipelineExecutor,
-    queue: &BoundedQueue<Request>,
-    stats: &SharedStats,
-    config: RuntimeConfig,
-) {
-    let wait = Duration::from_micros(config.max_wait_us);
-    let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch, |r| r.enqueued_at + wait)
-    {
-        stats.batches.fetch_add(1, Relaxed);
-        match close {
-            BatchClose::Size => stats.size_closes.fetch_add(1, Relaxed),
-            BatchClose::Deadline => stats.deadline_closes.fetch_add(1, Relaxed),
-            BatchClose::Drain => stats.drain_closes.fetch_add(1, Relaxed),
-        };
-        queries.clear();
-        queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
-        match executor.predict_batch(&queries) {
-            Ok(ctrs) => {
-                let now = Instant::now();
-                let mut hist = lock_or_recover(&stats.hist);
-                for request in &batch {
-                    hist.record_duration(now.saturating_duration_since(request.enqueued_at));
-                }
-                drop(hist);
-                stats.completed.fetch_add(batch.len() as u64, Relaxed);
-                for (request, ctr) in batch.into_iter().zip(ctrs) {
-                    request.slot.fulfill(Ok(ctr));
-                }
-            }
-            Err(_) => {
-                // Same contract as the monolithic loop: one malformed
-                // query fails alone, its batch-mates still complete.
-                for (request, query) in batch.into_iter().zip(&queries) {
-                    match executor.predict(query) {
-                        Ok(ctr) => {
-                            let elapsed = request.enqueued_at.elapsed();
-                            lock_or_recover(&stats.hist).record_duration(elapsed);
-                            stats.completed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Ok(ctr));
-                        }
-                        Err(e) => {
-                            stats.failed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Err(RuntimeError::Failed(e.to_string())));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Queue drained: stop the stages and publish the cache totals each
-    // lookup lane's engine accumulated. Every lane publishes exactly once
-    // here — its own totals, never another lane's — so the shared counts
-    // are a plain sum with no double-counting. A lane that panicked is
-    // absent from the list and its counters died with it.
-    for engine in executor.shutdown_all() {
-        if let Some(cache) = engine.hot_row_cache() {
-            let mut shared = lock_or_recover(&stats.lookup_tables);
-            for (&h, slot) in cache.per_table_hits().iter().zip(&mut shared.hits) {
-                *slot += h;
-            }
-            for (&m, slot) in cache.per_table_misses().iter().zip(&mut shared.misses) {
-                *slot += m;
-            }
-            drop(shared);
-            stats.lookup_bytes_from_cache.fetch_add(cache.bytes_from_cache(), Relaxed);
-            stats.lookup_bytes_from_memory.fetch_add(cache.bytes_from_memory(), Relaxed);
-        }
-        if engine.is_tiered() {
-            let tier = engine.tier_counters();
-            stats.tier_resident_hits.fetch_add(tier.resident_hits, Relaxed);
-            stats.tier_cold_reads.fetch_add(tier.cold_reads, Relaxed);
-            stats.tier_prefetch_hits.fetch_add(tier.prefetch_hits, Relaxed);
-            stats.tier_bytes_from_cold.fetch_add(tier.bytes_from_cold, Relaxed);
-            stats.tier_cold_errors.fetch_add(tier.cold_errors, Relaxed);
-            if engine.hot_row_cache().is_none() {
-                stats
-                    .lookup_bytes_from_memory
-                    .fetch_add(tier.bytes_from_resident + tier.bytes_from_cold, Relaxed);
-            }
-        }
-    }
-}
-
-/// Steady-state loop of one routed worker: pop a micro-batch, ask the
-/// shared cost model for the predicted-fastest path, run the batch
-/// there, and feed the observed latency back.
-///
-/// The SLO guard activates when `config.slo_us > 0`: each batch's
-/// remaining budget is the objective minus the oldest request's queue
-/// age, and a batch whose predicted cost overruns it takes the measured
-/// lowest-latency path instead. Overload (admission queue ≥ 3/4 full)
-/// suppresses probe dispatches and tightens the cold-cache degrade.
-fn worker_loop_routed(
-    mut set: PathSet,
-    queue: &BoundedQueue<Request>,
-    stats: &SharedStats,
-    config: RuntimeConfig,
-) {
-    let wait = Duration::from_micros(config.max_wait_us);
-    let overload_depth = config.queue_depth - config.queue_depth / 4;
-    let mut queries: Vec<Vec<u64>> = Vec::with_capacity(config.max_batch);
-    while let Some((mut batch, close)) = queue.pop_batch(config.max_batch, |r| r.enqueued_at + wait)
-    {
-        stats.batches.fetch_add(1, Relaxed);
-        match close {
-            BatchClose::Size => stats.size_closes.fetch_add(1, Relaxed),
-            BatchClose::Deadline => stats.deadline_closes.fetch_add(1, Relaxed),
-            BatchClose::Drain => stats.drain_closes.fetch_add(1, Relaxed),
-        };
-        queries.clear();
-        queries.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.query)));
-        // Remaining SLO budget, from the oldest request in the batch
-        // (pop_batch preserves arrival order).
-        let remaining_us = if config.slo_us > 0 {
-            let age_us = batch.first().map_or(0.0, |r| r.enqueued_at.elapsed().as_secs_f64() * 1e6);
-            Some(config.slo_us as f64 - age_us)
-        } else {
-            None
-        };
-        let overload = queue.len() >= overload_depth;
-        let decision = set.route(&queries, remaining_us, overload);
-        let started = Instant::now();
-        match set.predict_batch_on(decision.path, &queries) {
-            Ok(ctrs) => {
-                set.observe(&decision, queries.len(), started.elapsed().as_secs_f64() * 1e6);
-                let now = Instant::now();
-                let mut hist = lock_or_recover(&stats.hist);
-                for request in &batch {
-                    hist.record_duration(now.saturating_duration_since(request.enqueued_at));
-                }
-                drop(hist);
-                stats.completed.fetch_add(batch.len() as u64, Relaxed);
-                for (request, ctr) in batch.into_iter().zip(ctrs) {
-                    request.slot.fulfill(Ok(ctr));
-                }
-            }
-            Err(_) => {
-                // Same contract as the other loops: one malformed query
-                // fails alone. The per-item fallback runs on path 0 (the
-                // monolithic engine, always registered first); no
-                // feedback is recorded for the failed batch.
-                for (request, query) in batch.into_iter().zip(&queries) {
-                    match set.predict_on(0, query) {
-                        Ok(ctr) => {
-                            let elapsed = request.enqueued_at.elapsed();
-                            lock_or_recover(&stats.hist).record_duration(elapsed);
-                            stats.completed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Ok(ctr));
-                        }
-                        Err(e) => {
-                            stats.failed.fetch_add(1, Relaxed);
-                            request.slot.fulfill(Err(RuntimeError::Failed(e.to_string())));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Queue drained: join the staged paths' stage threads.
-    set.shutdown();
+    // lint: allow(transitive-hot-path-alloc) runs once after the queue drained, not per batch
+    mode.finish_drain(stats);
 }
 
 #[cfg(test)]

@@ -1,12 +1,8 @@
 //! Multi-path router integration tests: bit-identity across the full
-//! path matrix, deterministic shape routing, the SLO guard end to end,
-//! and the routed serving runtime.
+//! path matrix, the SLO guard end to end, and the routed serving runtime.
 
-use microrec_core::{
-    ExecutionMode, MicroRec, PathCostModel, PathSet, RuntimeConfig, ServingRuntime,
-    SHAPE_DEFAULT_HOP_US,
-};
-use microrec_embedding::{ModelSpec, Precision, TableSpec};
+use microrec_core::{ExecutionMode, MicroRec, PathSet, RuntimeConfig, ServingRuntime};
+use microrec_embedding::{ModelSpec, Precision};
 use microrec_workload::{QueryGenConfig, RequestTrace};
 
 fn model() -> ModelSpec {
@@ -53,25 +49,6 @@ fn every_routable_path_is_bit_identical_to_sequential() {
             set.shutdown();
         }
     }
-}
-
-/// The analytic shape model is deterministic: a tiny MLP (stage hop
-/// overhead dominates) routes monolithic, the default deep model routes
-/// to the staged pipeline.
-#[test]
-fn shape_routing_is_deterministic_across_model_scales() {
-    let tiny = ModelSpec::new(
-        "tiny-mlp",
-        (0..4).map(|i| TableSpec::new(format!("t{i}"), 1_000, 4)).collect(),
-        vec![16],
-        2,
-    );
-    let picked = PathCostModel::from_shape(&tiny, SHAPE_DEFAULT_HOP_US).choose_mode();
-    assert_eq!(picked, ExecutionMode::Monolithic, "tiny MLP must stay monolithic");
-
-    let deep = ModelSpec::dlrm_rmc2(8, 16);
-    let picked = PathCostModel::from_shape(&deep, SHAPE_DEFAULT_HOP_US).choose_mode();
-    assert_eq!(picked, ExecutionMode::Pipelined, "deep MLP must pipeline");
 }
 
 /// A routed `PathSet` under a generous SLO never engages the guard; the
